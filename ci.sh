@@ -33,21 +33,21 @@ echo "== bench runner =="
 # Every figure must run end-to-end at quick scale and the JSON report
 # must be complete (one line per figure + a manifest covering them all).
 rm -f "$tmp/bench-report.json"
-cargo run --release --quiet -p levi-bench -- run all --quick --json "$tmp/bench-report.json" > /dev/null
+cargo run --release --quiet -p levi-bench -- run all --quick --json "$tmp/bench-report.json" \
+  > "$tmp/all-parallel.txt"
 cargo run --release --quiet -p levi-bench -- check-report "$tmp/bench-report.json"
-echo "== xlat ablation smoke =="
-# The levi-xlat figures must be deterministic: two quick runs of each
-# print byte-identical output. Both figures are registered in ALL, so the
-# check-report pass above already validated their JSON lines and manifest
-# coverage — assert they really are in the report to keep that honest.
+echo "== determinism =="
+# Every registry figure is deterministic: a serial run of the whole
+# registry must print byte-identical output to the parallel run above.
+# check-report already validated the levi-xlat figures' JSON lines and
+# manifest coverage — assert they really are in the report to keep that
+# honest.
 for fig in ablation_translation ablation_tenancy; do
   grep -q "\"figure\":\"$fig\"" "$tmp/bench-report.json"
-  cargo run --release --quiet -p levi-bench -- run "$fig" --quick \
-    > "$tmp/$fig-a.txt" 2> /dev/null
-  cargo run --release --quiet -p levi-bench -- run "$fig" --quick \
-    > "$tmp/$fig-b.txt" 2> /dev/null
-  diff "$tmp/$fig-a.txt" "$tmp/$fig-b.txt"
 done
+cargo run --release --quiet -p levi-bench -- run all --quick --serial \
+  > "$tmp/all-serial.txt" 2> /dev/null
+diff "$tmp/all-parallel.txt" "$tmp/all-serial.txt"
 echo "== telemetry smoke =="
 # --telemetry must be purely observational: one figure runs with and
 # without the flag and must print byte-identical stdout, and the dump it
@@ -87,6 +87,10 @@ echo "== serve smoke =="
 # `--server` must print exactly what the in-process run prints, and a
 # repeated request must be served from the content-addressed cache
 # without re-executing (the client reports the hit on stderr).
+for fig in ablation_translation ablation_tenancy; do
+  cargo run --release --quiet -p levi-bench -- run "$fig" --quick \
+    > "$tmp/$fig-local.txt" 2> /dev/null
+done
 cargo run --release --quiet -p levi-bench -- serve \
   --addr 127.0.0.1:0 --cache "$tmp/serve.cache" > "$tmp/serve.log" 2>&1 &
 serve_pid=$!
@@ -110,8 +114,8 @@ kill "$serve_pid"
 grep -q "cache hit" "$tmp/remote2.log"
 diff "$tmp/fig05-plain.txt" "$tmp/fig05-remote1.txt"
 diff "$tmp/fig05-remote1.txt" "$tmp/fig05-remote2.txt"
-diff "$tmp/ablation_translation-a.txt" "$tmp/xlat-remote.txt"
-diff "$tmp/ablation_tenancy-a.txt" "$tmp/tenancy-remote.txt"
+diff "$tmp/ablation_translation-local.txt" "$tmp/xlat-remote.txt"
+diff "$tmp/ablation_tenancy-local.txt" "$tmp/tenancy-remote.txt"
 echo "== perf gate =="
 # Host-performance smoke: measure, accept a machine-local baseline, then
 # re-measure and compare against it. Gating is machine-local (wall-clock

@@ -1,6 +1,6 @@
 //! Microkernels — simulated cycle counts for the substrate primitives.
 //!
-//! Complements `micro_substrate` (which times the *simulator* in
+//! Complements levi-perf's micro suite (which times the *simulator* in
 //! wall-clock nanoseconds): this figure runs the `micro` workload's
 //! scan / pointer-chase / invoke kernels on the timed simulator and
 //! reports deterministic cycle counts, golden-checked like every other

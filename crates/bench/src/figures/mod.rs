@@ -1,9 +1,9 @@
 //! One descriptor module per figure/table of the paper's evaluation.
 //!
 //! Every module exposes a single `FIG: Figure` descriptor; [`ALL`] lists
-//! them in the paper's presentation order. The `levi-bench` runner and
-//! the thin `cargo bench` wrappers both execute figures exclusively
-//! through this registry, so each figure has exactly one implementation.
+//! them in the paper's presentation order. The `levi-bench` runner (and
+//! `levi-bench serve`) execute figures exclusively through this registry,
+//! so each figure has exactly one implementation and one entry point.
 
 use crate::runner::Figure;
 
@@ -22,7 +22,6 @@ pub mod fig23_stream_buffer;
 pub mod fig24_input_size;
 pub mod fig25_system_size;
 pub mod micro_kernels;
-pub mod micro_substrate;
 pub mod table04_area;
 pub mod table05_config;
 
@@ -44,7 +43,6 @@ pub static ALL: &[Figure] = &[
     ablation_translation::FIG,
     ablation_tenancy::FIG,
     micro_kernels::FIG,
-    micro_substrate::FIG,
     table04_area::FIG,
     table05_config::FIG,
 ];

@@ -5,7 +5,9 @@
 //! Supports exactly what the harness emits — objects, arrays, strings
 //! with `\\` / `\"` escapes (plus the standard control escapes and
 //! `\uXXXX`, surrogate pairs included), numbers, booleans, and null.
-//! Not a general-purpose parser: numbers are read as `f64`.
+//! Not a general-purpose parser: numbers are read as `f64`, except that
+//! a plain unsigned integer literal that fits a `u64` is kept exact
+//! ([`Json::Int`]), so seeds and counts above 2^53 survive a round trip.
 //!
 //! The writing side lives here too: [`JsonWriter`] is the incremental
 //! emitter every hand-formatted JSON producer in the harness
@@ -30,8 +32,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number, as `f64`.
+    /// Any other number, as `f64`.
     Num(f64),
+    /// A number written as a plain unsigned integer that fits a `u64`.
+    Int(u64),
     /// A string, unescaped.
     Str(String),
     /// An array.
@@ -69,6 +73,17 @@ impl Json {
     pub fn as_num(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            Json::Int(i) => Some(*i as f64),
+            _ => None,
+        }
+    }
+
+    /// The exact integer, if this is a plain unsigned integer literal
+    /// that fits a `u64`; fractions, exponents, negatives and overflow
+    /// are `None`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(i) => Some(*i),
             _ => None,
         }
     }
@@ -99,6 +114,9 @@ impl Json {
                 let _ = write!(out, "{n}");
             }
             Json::Num(_) => out.push_str("null"),
+            Json::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Json::Str(s) => {
                 out.push('"');
                 write_escaped(out, s);
@@ -376,11 +394,15 @@ fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     {
         *pos += 1;
     }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
+    let text = std::str::from_utf8(&bytes[start..*pos]).unwrap_or("");
+    if text.bytes().all(|b| b.is_ascii_digit()) {
+        if let Ok(i) = text.parse::<u64>() {
+            return Ok(Json::Int(i));
+        }
+    }
+    text.parse::<f64>()
         .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
+        .map_err(|_| format!("invalid number at byte {start}"))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -535,7 +557,7 @@ mod tests {
         .unwrap();
         assert_eq!(doc.get("figure").and_then(Json::as_str), Some("fig05_phi"));
         let rows = doc.get("rows").and_then(Json::as_arr).unwrap();
-        assert_eq!(rows[0].get("cycles"), Some(&Json::Num(1091156.0)));
+        assert_eq!(rows[0].get("cycles"), Some(&Json::Int(1091156)));
     }
 
     #[test]
@@ -570,8 +592,27 @@ mod tests {
     #[test]
     fn as_num_extracts_numbers_only() {
         assert_eq!(Json::Num(2.5).as_num(), Some(2.5));
+        assert_eq!(Json::Int(7).as_num(), Some(7.0));
         assert_eq!(Json::Str("2.5".into()).as_num(), None);
         assert_eq!(Json::Null.as_num(), None);
+    }
+
+    #[test]
+    fn as_u64_reads_integer_literals_exactly() {
+        let big = (1u64 << 53) + 1;
+        assert_eq!(parse(&big.to_string()).unwrap().as_u64(), Some(big));
+        assert_eq!(
+            parse(&u64::MAX.to_string()).unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+        assert_eq!(parse("0").unwrap().as_u64(), Some(0));
+        for rejected in ["-1", "1.5", "1.0", "1e3", "1e30", "18446744073709551616"] {
+            let v = parse(rejected).unwrap();
+            assert_eq!(v.as_u64(), None, "{rejected}");
+            assert!(v.as_num().is_some(), "{rejected} is still a number");
+        }
+        assert_eq!(Json::Str("7".into()).as_u64(), None);
+        assert_eq!(Json::Int(big).to_json(), big.to_string());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared reporting utilities for the benchmark harness.
 //!
-//! Every bench target regenerates one table or figure of the paper's
-//! evaluation and prints the measured values next to the paper's reported
+//! Every registry figure ([`figures::ALL`], run by `levi-bench run`)
+//! regenerates one table or figure of the paper's evaluation and prints the measured values next to the paper's reported
 //! numbers. We reproduce *shape* — who wins, by roughly what factor,
 //! where crossovers fall — not absolute cycle counts (the substrate is a
 //! from-scratch simulator, not the authors' testbed). See EXPERIMENTS.md
@@ -19,13 +19,12 @@ pub mod codec;
 pub mod figures;
 pub mod journal;
 pub mod json;
-pub mod micro_timers;
 pub mod out;
 pub mod perf_cli;
 pub mod runner;
 pub mod serve;
 
-/// True when `LEVI_BENCH_QUICK` is set: benches drop to reduced scales
+/// True when `LEVI_BENCH_QUICK` is set: figures drop to reduced scales
 /// (useful for smoke-testing the harness).
 pub fn quick_mode() -> bool {
     std::env::var("LEVI_BENCH_QUICK").is_ok()

@@ -5,9 +5,9 @@
 //! Each figure of the paper's evaluation is one [`Figure`] descriptor in
 //! [`crate::figures::ALL`]: a static id, a one-line summary, the registry
 //! workloads it exercises, and a `run` function that prints the figure.
-//! The `levi-bench` binary and the thin `cargo bench` wrappers both
-//! dispatch through [`bench_main`] / [`run_figure`], so there is exactly
-//! one implementation of every figure no matter how it is invoked.
+//! The `levi-bench` binary and `levi-bench serve` both dispatch through
+//! [`run_figure`], so there is exactly one implementation of every figure
+//! no matter how it is invoked.
 //!
 //! Shared plumbing lives here so descriptors stay declarative:
 //!
@@ -39,10 +39,11 @@ pub struct RunCtx {
 }
 
 impl RunCtx {
-    /// A context from the process environment, as the `cargo bench`
-    /// wrappers use: `LEVI_BENCH_QUICK` selects quick scale,
-    /// `LEVI_CHECKPOINT_EVERY` / `LEVI_SNAPSHOT_VERIFY` arm the snapshot
-    /// hook, no filter, default environment otherwise.
+    /// A context from the process environment, the defaults `levi-bench
+    /// run` starts from before applying its flags: `LEVI_BENCH_QUICK`
+    /// selects quick scale, `LEVI_CHECKPOINT_EVERY` /
+    /// `LEVI_SNAPSHOT_VERIFY` arm the snapshot hook, no filter, default
+    /// environment otherwise.
     pub fn from_env() -> Self {
         let mut env = RunEnv::default();
         if let Ok(v) = std::env::var("LEVI_CHECKPOINT_EVERY") {
@@ -391,17 +392,6 @@ pub fn run_figure(fig: &Figure, ctx: &RunCtx) {
     let prev = CURRENT_FIGURE.with(|f| std::mem::replace(&mut *f.borrow_mut(), fig.id.to_string()));
     let _scope = Scope(prev);
     (fig.run)(ctx);
-}
-
-/// Entry point for the thin `cargo bench` wrappers: runs the named
-/// figure with a [`RunCtx`] built from the environment, exactly as the
-/// pre-refactor standalone bench binaries did.
-///
-/// # Panics
-/// Panics if `id` names no registered figure.
-pub fn bench_main(id: &str) {
-    let fig = find_figure(id).unwrap_or_else(|| panic!("unknown figure {id:?}"));
-    run_figure(fig, &RunCtx::from_env());
 }
 
 /// Renders the roll-up manifest emitted after `levi-bench run all`: which

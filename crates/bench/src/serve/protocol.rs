@@ -206,23 +206,31 @@ impl Job {
             .to_string();
         let quick = doc.get("quick").and_then(Json::as_bool).unwrap_or(false);
         let filter = doc.get("filter").and_then(Json::as_str).map(str::to_string);
-        let fault = match doc.get("fault_seed").and_then(Json::as_num) {
+        // Integer fields are read exactly: a seed above 2^53 must not
+        // round into another job's fault plan and cache key, and `-1` or
+        // `1.5` are errors rather than saturated or truncated values.
+        let uint = |key: &str| match doc.get(key) {
+            None => Ok(None),
+            Some(v) => v
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| format!("{key} must be an unsigned integer, got {}", v.to_json())),
+        };
+        let horizon = uint("fault_horizon")?;
+        let fault = match uint("fault_seed")? {
             Some(seed) => {
-                let mut spec = FaultSpec::new(seed as u64);
-                if let Some(h) = doc.get("fault_horizon").and_then(Json::as_num) {
-                    if h < 1.0 {
+                let mut spec = FaultSpec::new(seed);
+                if let Some(h) = horizon {
+                    if h == 0 {
                         return Err("fault_horizon must be nonzero".into());
                     }
-                    spec.horizon = h as u64;
+                    spec.horizon = h;
                 }
                 Some(spec)
             }
             None => None,
         };
-        let timeout_ms = doc
-            .get("timeout_ms")
-            .and_then(Json::as_num)
-            .map(|t| t as u64);
+        let timeout_ms = uint("timeout_ms")?;
         Ok(Job {
             figure,
             quick,
@@ -403,6 +411,40 @@ mod tests {
             Job::parse_request("{\"v\":1,\"cmd\":\"run\"}").is_err(),
             "no figure"
         );
+    }
+
+    #[test]
+    fn integer_fields_round_trip_exactly() {
+        let mut job = Job::new("table04_area");
+        job.fault = Some(FaultSpec {
+            seed: (1 << 53) + 1,
+            horizon: u64::MAX,
+        });
+        job.timeout_ms = Some((1 << 53) + 3);
+        let back = Job::parse_request(&job.request_line()).expect("round trips");
+        let recipe = |j: &Job| j.fault.map(|f| (f.seed, f.horizon));
+        assert_eq!(recipe(&back), recipe(&job));
+        assert_eq!(back.timeout_ms, job.timeout_ms);
+        assert_eq!(back.canon(), job.canon());
+        assert_eq!(back.cache_key().unwrap(), job.cache_key().unwrap());
+    }
+
+    #[test]
+    fn inexact_integer_fields_are_rejected() {
+        for field in ["fault_seed", "fault_horizon", "timeout_ms"] {
+            for value in ["-1", "1.5", "1e30", "18446744073709551616", "\"7\"", "null"] {
+                let line = format!(
+                    "{{\"v\":1,\"cmd\":\"run\",\"figure\":\"table04_area\",\"{field}\":{value}}}"
+                );
+                let err = Job::parse_request(&line).expect_err(&line);
+                assert!(err.contains(field), "{line}: {err}");
+            }
+        }
+        assert!(Job::parse_request(
+            "{\"v\":1,\"cmd\":\"run\",\"figure\":\"f\",\"fault_seed\":1,\"fault_horizon\":0}"
+        )
+        .unwrap_err()
+        .contains("nonzero"));
     }
 
     #[test]

@@ -30,6 +30,6 @@ pub mod report;
 pub mod suite;
 
 pub use levi_sim::{Histogram, Phase, PhaseProfile};
-pub use measure::{median, median_abs_deviation, median_ns, BenchOpts, Measurement};
+pub use measure::{median, median_abs_deviation, BenchOpts, Measurement};
 pub use report::{render_report, report_json};
 pub use suite::{run_suite, PerfCfg};

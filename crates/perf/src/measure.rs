@@ -143,30 +143,6 @@ pub fn median_abs_deviation(xs: &[f64], center: f64) -> f64 {
     median(&devs)
 }
 
-/// Times `f` over `iters` iterations per batch, returning the median
-/// per-iteration nanoseconds over a fixed number of batches.
-///
-/// This is the compatibility core behind
-/// `levi_bench::micro_timers::median_ns` — one batch is one "rep" of the
-/// engine above with `BenchOpts { warmup: 0, rounds: 1, reps: 7 }` plus
-/// the historical `iters.min(1000)`-call warmup.
-pub fn median_ns(iters: u64, mut f: impl FnMut()) -> f64 {
-    const BATCHES: usize = 7;
-    for _ in 0..iters.min(1000) {
-        f();
-    }
-    let samples: Vec<f64> = (0..BATCHES)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    median(&samples)
-}
-
 /// Runs a micro-benchmark: each rep is one timed batch of `iters` calls
 /// to `f`; the value is nanoseconds per iteration.
 pub fn bench_micro(id: &str, opts: BenchOpts, iters: u64, mut f: impl FnMut()) -> Measurement {
@@ -291,14 +267,5 @@ mod tests {
         // 1M cycles in ~2ms ≈ 500,000 KIPS; allow a wide band.
         assert!(m.kips > 1_000.0 && m.kips < 5_000_000.0, "{}", m.kips);
         assert_eq!(m.rounds.len(), 1);
-    }
-
-    #[test]
-    fn median_ns_times_a_cheap_kernel() {
-        let mut x = 0u64;
-        let ns = median_ns(10_000, || {
-            x = x.wrapping_add(std::hint::black_box(3));
-        });
-        assert!((0.0..1e6).contains(&ns), "{ns}");
     }
 }

@@ -169,7 +169,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Config digest (FNV-1a over the canonical field encoding)
+// Config digest (FNV-1a over the canonical config text)
 // ---------------------------------------------------------------------------
 
 /// FNV-1a over `bytes` — the digest primitive behind [`config_digest`],
@@ -184,7 +184,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Digest of every hardware/timing parameter of a [`MachineConfig`].
+/// Digest of every hardware/timing parameter of a [`MachineConfig`]:
+/// FNV-1a over the derived `Debug` text of the config, so every field —
+/// including one added later — is covered unless it is excluded here.
 ///
 /// Excludes `fault_plan` (so a snapshot can be replayed under a different
 /// fault seed — time-travel debugging) and the observational
@@ -192,81 +194,13 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// including trace/sampling configuration, must match for a restore to be
 /// accepted.
 pub fn config_digest(cfg: &MachineConfig) -> u64 {
-    let mut w = Writer::new();
-    w.u32(cfg.tiles);
-    for c in [&cfg.l1, &cfg.l2, &cfg.llc] {
-        w.u64(c.size_bytes);
-        w.u32(c.ways);
-        w.u64(c.latency);
-        w.u8(match c.replacement {
-            crate::config::Replacement::Lru => 0,
-            crate::config::Replacement::Srrip => 1,
-        });
-    }
-    w.u32(cfg.core.issue_width);
-    w.u32(cfg.core.mshrs);
-    w.u64(cfg.core.mispredict_penalty);
-    w.u32(cfg.core.predictor_bits);
-    w.u32(cfg.core.invoke_buffer);
-    w.u64(cfg.core.mul_latency);
-    w.u64(cfg.core.div_latency);
-    w.u32(cfg.engine.int_fus);
-    w.u32(cfg.engine.mem_fus);
-    w.u64(cfg.engine.pe_latency);
-    w.u32(cfg.engine.contexts);
-    w.u64(cfg.engine.l1d_bytes);
-    w.u64(cfg.engine.l1d_latency);
-    w.bool(cfg.engine.idealized);
-    w.u32(cfg.noc.flit_bits);
-    w.u64(cfg.noc.router_delay);
-    w.u64(cfg.noc.link_delay);
-    w.u32(cfg.mem.controllers);
-    w.u64(cfg.mem.latency);
-    w.u64(cfg.mem.cycles_per_line);
-    w.u32(cfg.mem.fifo_cache_lines);
-    w.u64(cfg.mem.fifo_hit_latency);
-    for e in [
-        cfg.energy.core_inst_pj,
-        cfg.energy.engine_inst_pj,
-        cfg.energy.l1_pj,
-        cfg.energy.l2_pj,
-        cfg.energy.llc_pj,
-        cfg.energy.dir_pj,
-        cfg.energy.noc_flit_hop_pj,
-        cfg.energy.dram_line_pj,
-        cfg.energy.mc_cache_pj,
-    ] {
-        w.f64(e);
-    }
-    w.bool(cfg.prefetcher);
-    w.u32(cfg.prefetch_degree);
-    w.u64(cfg.quantum);
-    w.bool(cfg.trace);
-    w.u64(cfg.trace_capacity as u64);
-    w.bool(cfg.trace_sched);
-    w.bool(cfg.trace_spans);
-    w.u64(cfg.sample_interval);
-    w.u64(cfg.max_cycles);
-    match cfg.xlat {
-        Some(x) => {
-            w.bool(true);
-            w.u32(x.page_bits);
-            w.u32(x.tlb_entries);
-            w.u32(x.tlb_ways);
-            w.u32(x.walk_levels);
-            w.u64(x.walk_latency);
-        }
-        None => w.bool(false),
-    }
-    match cfg.tenants {
-        Some(t) => {
-            w.bool(true);
-            w.u32(t.count);
-            w.u8(t.policy.as_u8());
-        }
-        None => w.bool(false),
-    }
-    fnv1a(&w.into_bytes())
+    let canonical = MachineConfig {
+        fault_plan: None,
+        checkpoint_every: 0,
+        checkpoint_verify: false,
+        ..cfg.clone()
+    };
+    fnv1a(format!("{canonical:?}").as_bytes())
 }
 
 // ---------------------------------------------------------------------------

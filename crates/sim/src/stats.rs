@@ -4,8 +4,14 @@
 //! needs: per-level cache hits/misses, NoC traffic, DRAM accesses (broken
 //! down by workload *phase* for Fig. 21), branch predictor outcomes,
 //! instruction counts, and NDC bookkeeping.
+//!
+//! The struct is declared by one table (`stats_table!`) whose rows, in
+//! snapshot order, also drive snapshot serialization, [`Stats::digest`]
+//! and the telemetry counter list; adding a counter means adding one row.
 
 use std::fmt;
+
+use levi_isa::codec::{CodecError, Reader, Writer};
 
 use crate::hist::Histogram;
 use crate::span::SpanTable;
@@ -46,25 +52,65 @@ impl LevelStats {
     }
 }
 
-/// All counters accumulated during a run.
-#[derive(Clone, Debug, Default)]
-pub struct Stats {
+/// Declares [`Stats`] from one table of rows in snapshot order.
+///
+/// Each row is a field: its docs, visibility, name and type, plus an
+/// optional telemetry name (the field name by default). The table
+/// generates the struct and the two row visitors that snapshot
+/// serialization, [`Stats::digest`] and [`crate::Telemetry`] iterate;
+/// the row's type decides its encoding and exported counters (see
+/// [`StatField`]). Adding a counter means adding one row. Fields after
+/// the `;` are in the struct but neither serialized nor exported.
+macro_rules! stats_table {
+    (
+        $( $(#[$doc:meta])* $vis:vis $field:ident : $ty:ty $(= $name:literal)?, )*
+        ;
+        $( $(#[$xdoc:meta])* $xvis:vis $xfield:ident : $xty:ty, )*
+    ) => {
+        /// All counters accumulated during a run.
+        #[derive(Clone, Debug, Default)]
+        pub struct Stats {
+            $( $(#[$doc])* $vis $field: $ty, )*
+            $( $(#[$xdoc])* $xvis $xfield: $xty, )*
+        }
+
+        impl Stats {
+            /// Calls `f` with every table row and its telemetry name, in
+            /// snapshot order.
+            fn rows<'s>(&'s self, mut f: impl FnMut(&'static str, &'s dyn StatField)) {
+                $( f(row_name!($field $(, $name)?), &self.$field); )*
+            }
+
+            /// Calls `f` with every table row, mutably, in snapshot order,
+            /// stopping at the first error.
+            fn rows_mut(
+                &mut self,
+                mut f: impl FnMut(&mut dyn StatField) -> Result<(), CodecError>,
+            ) -> Result<(), CodecError> {
+                $( f(&mut self.$field)?; )*
+                Ok(())
+            }
+        }
+    };
+}
+
+/// A row's telemetry name: the override when given, else the field name.
+macro_rules! row_name {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident, $name:literal) => {
+        $name
+    };
+}
+
+stats_table! {
     /// Final simulated cycle (set when the run finishes).
     pub cycles: u64,
     /// Instructions retired by cores.
     pub core_instrs: u64,
     /// Instructions retired by engines (all contexts + inline actions).
     pub engine_instrs: u64,
-
-    /// L1 data caches (cores).
-    pub l1: LevelStats,
-    /// Private L2 caches.
-    pub l2: LevelStats,
-    /// Shared LLC banks.
-    pub llc: LevelStats,
-    /// Engine L1d caches.
-    pub engine_l1: LevelStats,
-
     /// Directory lookups at the LLC.
     pub dir_lookups: u64,
     /// Invalidation messages sent to private caches.
@@ -72,29 +118,22 @@ pub struct Stats {
     /// Cache-to-cache ownership transfers (the "ping-pong" the paper's
     /// task offload eliminates).
     pub ownership_transfers: u64,
-
     /// NoC messages sent.
     pub noc_messages: u64,
     /// NoC flit-hops (flits × hops), the traffic/energy metric.
     pub noc_flit_hops: u64,
-
     /// DRAM line accesses (reads + writes), total.
     pub dram_accesses: u64,
-    /// DRAM accesses attributed per phase (see [`Stats::set_phase`]).
-    pub dram_by_phase: [u64; MAX_PHASES],
     /// Memory-controller FIFO-cache hits (avoided DRAM accesses).
     pub mc_cache_hits: u64,
-
     /// Conditional branches executed on cores.
     pub branches: u64,
     /// Mispredicted conditional branches on cores.
     pub mispredicts: u64,
-
     /// Memory fences executed (including fenced atomics' implied fences).
     pub fences: u64,
     /// Atomic RMWs executed by cores.
     pub core_rmws: u64,
-
     /// Tasks offloaded via `invoke`.
     pub invokes: u64,
     /// Invokes that were NACKed (engine context buffer full) and retried.
@@ -114,7 +153,6 @@ pub struct Stats {
     pub stream_stall_cycles: u64,
     /// L2 prefetches issued.
     pub prefetches: u64,
-
     /// Fault windows injected by the configured
     /// [`FaultPlan`](crate::fault::FaultPlan) (0 when no plan is set).
     pub faults_injected: u64,
@@ -126,7 +164,17 @@ pub struct Stats {
     /// Extra cycles attributable to injected faults: backoff waits,
     /// squeeze stalls, NoC slowdown/outage delay, DRAM throttle delay.
     pub fault_degraded_cycles: u64,
-
+    /// L1 data caches (cores).
+    pub l1: LevelStats,
+    /// Private L2 caches.
+    pub l2: LevelStats,
+    /// Shared LLC banks.
+    pub llc: LevelStats,
+    /// Engine L1d caches.
+    pub engine_l1: LevelStats,
+    /// DRAM accesses attributed per phase (see [`Stats::set_phase`]).
+    pub dram_by_phase: [u64; MAX_PHASES] = "dram_phase",
+    current_phase: PhaseIndex,
     /// Invoke round-trip latency (issue to acknowledgment) in cycles.
     pub invoke_rtt: Histogram,
     /// Load-to-use latency (issue of a core load to data return) in cycles.
@@ -137,15 +185,6 @@ pub struct Stats {
     pub stream_stall: Histogram,
     /// Backoff delay per fault-induced invoke retry, in cycles.
     pub fault_backoff: Histogram,
-
-    /// Host wall-time attributed to simulator phases by the scoped
-    /// profiler (see [`crate::perf`]). Empty unless the crate is built
-    /// with the `self-profile` feature; [`crate::Machine::run`] drains the
-    /// thread-local accumulator here when it returns. Never printed by
-    /// `Display` — wall-clock nanoseconds are nondeterministic and must
-    /// stay out of byte-identical outputs.
-    pub host_phases: crate::perf::PhaseProfile,
-
     /// Structured event recorder (off by default; see
     /// [`crate::config::MachineConfig::trace`]).
     pub trace: Tracer,
@@ -156,7 +195,6 @@ pub struct Stats {
     /// Periodic time-series sampler (off by default; see
     /// [`crate::config::MachineConfig::sample_interval`]).
     pub timeline: TimeSeries,
-
     /// TLB lookups that hit (0 unless translation is enabled; see
     /// [`crate::xlat`]).
     pub tlb_hits: u64,
@@ -171,14 +209,179 @@ pub struct Stats {
     /// Per-walk latency distribution (empty unless translation is on).
     pub xlat_walk: Histogram,
     /// LLC misses attributed to each tenant (empty unless tenancy is on).
-    pub tenant_llc_misses: Vec<u64>,
+    pub tenant_llc_misses: Vec<u64> = "llc_misses",
     /// Invokes issued by each tenant.
-    pub tenant_invokes: Vec<u64>,
+    pub tenant_invokes: Vec<u64> = "invokes",
     /// Latest core-thread finish cycle observed per tenant (a slowdown
     /// proxy: the spread shows inter-tenant interference).
-    pub tenant_finish: Vec<u64>,
+    pub tenant_finish: Vec<u64> = "finish_cycles",
+    ;
+    /// Host wall-time attributed to simulator phases by the scoped
+    /// profiler (see [`crate::perf`]). Empty unless the crate is built
+    /// with the `self-profile` feature; [`crate::Machine::run`] drains the
+    /// thread-local accumulator here when it returns. Never printed by
+    /// `Display` or serialized — wall-clock nanoseconds are
+    /// nondeterministic and must stay out of byte-identical outputs.
+    pub host_phases: crate::perf::PhaseProfile,
+}
 
-    current_phase: usize,
+/// The workload phase that phase-attributed counters charge (always
+/// below [`MAX_PHASES`]; a snapshot holding a larger index is rejected).
+#[derive(Clone, Copy, Debug, Default)]
+struct PhaseIndex(usize);
+
+/// How one [`Stats`] table row is serialized into snapshots and which
+/// telemetry counters it exports. The encoding of every row type is part
+/// of the snapshot format.
+trait StatField {
+    /// Appends the row to a snapshot.
+    fn write(&self, w: &mut Writer);
+    /// Replaces the row with the one [`StatField::write`] wrote.
+    fn read(&mut self, r: &mut Reader) -> Result<(), CodecError>;
+    /// Appends the row's telemetry counters, named after `name`.
+    fn counters(&self, _name: &'static str, _out: &mut Vec<(String, u64)>) {}
+    /// The row itself when it is a latency histogram.
+    fn histogram(&self) -> Option<&Histogram> {
+        None
+    }
+}
+
+/// A scalar counter, exported under its own name.
+impl StatField for u64 {
+    fn write(&self, w: &mut Writer) {
+        w.u64(*self);
+    }
+    fn read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
+        *self = r.u64()?;
+        Ok(())
+    }
+    fn counters(&self, name: &'static str, out: &mut Vec<(String, u64)>) {
+        out.push((name.to_string(), *self));
+    }
+}
+
+/// A cache level, exported as `<name>_hits`, `_misses`, `_writebacks`.
+impl StatField for LevelStats {
+    fn write(&self, w: &mut Writer) {
+        w.u64(self.hits);
+        w.u64(self.misses);
+        w.u64(self.writebacks);
+    }
+    fn read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
+        *self = LevelStats {
+            hits: r.u64()?,
+            misses: r.u64()?,
+            writebacks: r.u64()?,
+        };
+        Ok(())
+    }
+    fn counters(&self, name: &'static str, out: &mut Vec<(String, u64)>) {
+        out.push((format!("{name}_hits"), self.hits));
+        out.push((format!("{name}_misses"), self.misses));
+        out.push((format!("{name}_writebacks"), self.writebacks));
+    }
+}
+
+/// Per-phase counters, exported as `<name>0` .. `<name>3`.
+impl StatField for [u64; MAX_PHASES] {
+    fn write(&self, w: &mut Writer) {
+        for c in self {
+            w.u64(*c);
+        }
+    }
+    fn read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
+        for c in self {
+            *c = r.u64()?;
+        }
+        Ok(())
+    }
+    fn counters(&self, name: &'static str, out: &mut Vec<(String, u64)>) {
+        for (i, &c) in self.iter().enumerate() {
+            out.push((format!("{name}{i}"), c));
+        }
+    }
+}
+
+/// Per-tenant counters, exported as `tenant<i>_<name>`. Empty unless
+/// tenancy is configured, so single-tenant dumps carry no tenant lines.
+impl StatField for Vec<u64> {
+    fn write(&self, w: &mut Writer) {
+        w.u32(self.len() as u32);
+        for &c in self {
+            w.u64(c);
+        }
+    }
+    fn read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
+        let n = r.count(8)?;
+        self.clear();
+        self.reserve(n);
+        for _ in 0..n {
+            self.push(r.u64()?);
+        }
+        Ok(())
+    }
+    fn counters(&self, name: &'static str, out: &mut Vec<(String, u64)>) {
+        for (i, &c) in self.iter().enumerate() {
+            out.push((format!("tenant{i}_{name}"), c));
+        }
+    }
+}
+
+impl StatField for PhaseIndex {
+    fn write(&self, w: &mut Writer) {
+        w.u64(self.0 as u64);
+    }
+    fn read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
+        let phase = r.u64()? as usize;
+        if phase >= MAX_PHASES {
+            return Err(CodecError::Invalid("phase index"));
+        }
+        self.0 = phase;
+        Ok(())
+    }
+}
+
+impl StatField for Histogram {
+    fn write(&self, w: &mut Writer) {
+        self.snap_write(w);
+    }
+    fn read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
+        *self = Histogram::snap_read(r)?;
+        Ok(())
+    }
+    fn histogram(&self) -> Option<&Histogram> {
+        Some(self)
+    }
+}
+
+/// Exported as `<name>_events` and `<name>_dropped`.
+impl StatField for Tracer {
+    fn write(&self, w: &mut Writer) {
+        self.snap_write(w);
+    }
+    fn read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
+        *self = Tracer::snap_read(r)?;
+        Ok(())
+    }
+    fn counters(&self, name: &'static str, out: &mut Vec<(String, u64)>) {
+        out.push((format!("{name}_events"), self.len() as u64));
+        out.push((format!("{name}_dropped"), self.dropped()));
+    }
+}
+
+/// Exported as `<name>_recorded` and `<name>_dropped`.
+impl StatField for SpanTable {
+    fn write(&self, w: &mut Writer) {
+        self.snap_write(w);
+    }
+    fn read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
+        *self = SpanTable::snap_read(r)?;
+        Ok(())
+    }
+    fn counters(&self, name: &'static str, out: &mut Vec<(String, u64)>) {
+        out.push((format!("{name}_recorded"), self.len() as u64));
+        out.push((format!("{name}_dropped"), self.dropped()));
+    }
 }
 
 impl Stats {
@@ -193,18 +396,18 @@ impl Stats {
     /// Panics if `phase >= MAX_PHASES`.
     pub fn set_phase(&mut self, phase: usize) {
         assert!(phase < MAX_PHASES, "phase {phase} out of range");
-        self.current_phase = phase;
+        self.current_phase = PhaseIndex(phase);
     }
 
     /// The current phase index.
     pub fn phase(&self) -> usize {
-        self.current_phase
+        self.current_phase.0
     }
 
     /// Records one DRAM access in the current phase.
     pub(crate) fn count_dram(&mut self) {
         self.dram_accesses += 1;
-        self.dram_by_phase[self.current_phase] += 1;
+        self.dram_by_phase[self.current_phase.0] += 1;
     }
 
     /// Branch misprediction rate in \[0, 1\].
@@ -515,31 +718,17 @@ impl Stats {
     }
 }
 
-fn w_level(w: &mut levi_isa::codec::Writer, l: &LevelStats) {
-    w.u64(l.hits);
-    w.u64(l.misses);
-    w.u64(l.writebacks);
-}
-
-fn r_level(r: &mut levi_isa::codec::Reader) -> Result<LevelStats, levi_isa::codec::CodecError> {
-    Ok(LevelStats {
-        hits: r.u64()?,
-        misses: r.u64()?,
-        writebacks: r.u64()?,
-    })
-}
-
-impl TimeSeries {
-    /// Serializes sampler state (see [`crate::snapshot`]).
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
+/// Sampler state, exported as `<name>_samples`.
+impl StatField for TimeSeries {
+    fn write(&self, w: &mut Writer) {
         w.u64(self.interval);
         w.u64(self.next);
         w.u64(self.base.cycle);
         w.u64(self.base.core_instrs);
         w.u64(self.base.engine_instrs);
-        w_level(w, &self.base.l1);
-        w_level(w, &self.base.l2);
-        w_level(w, &self.base.llc);
+        self.base.l1.write(w);
+        self.base.l2.write(w);
+        self.base.llc.write(w);
         w.u64(self.base.noc_flit_hops);
         w.u64(self.base.dram_accesses);
         w.u32(self.samples.len() as u32);
@@ -558,26 +747,23 @@ impl TimeSeries {
         }
     }
 
-    /// Restores a sampler written by [`TimeSeries::snap_write`].
-    pub(crate) fn snap_read(
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<Self, levi_isa::codec::CodecError> {
-        let interval = r.u64()?;
-        let next = r.u64()?;
-        let base = Baseline {
-            cycle: r.u64()?,
-            core_instrs: r.u64()?,
-            engine_instrs: r.u64()?,
-            l1: r_level(r)?,
-            l2: r_level(r)?,
-            llc: r_level(r)?,
-            noc_flit_hops: r.u64()?,
-            dram_accesses: r.u64()?,
-        };
+    fn read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
+        self.interval = r.u64()?;
+        self.next = r.u64()?;
+        let b = &mut self.base;
+        b.cycle = r.u64()?;
+        b.core_instrs = r.u64()?;
+        b.engine_instrs = r.u64()?;
+        b.l1.read(r)?;
+        b.l2.read(r)?;
+        b.llc.read(r)?;
+        b.noc_flit_hops = r.u64()?;
+        b.dram_accesses = r.u64()?;
         let n = r.count(40)?;
-        let mut samples = Vec::with_capacity(n);
+        self.samples.clear();
+        self.samples.reserve(n);
         for _ in 0..n {
-            samples.push(Sample {
+            self.samples.push(Sample {
                 cycle: r.u64()?,
                 ipc: r.f64()?,
                 core_instrs: r.u64()?,
@@ -591,167 +777,49 @@ impl TimeSeries {
                 stream_depth: r.u64()?,
             });
         }
-        Ok(TimeSeries {
-            interval,
-            next,
-            samples,
-            base,
-        })
+        Ok(())
+    }
+
+    fn counters(&self, name: &'static str, out: &mut Vec<(String, u64)>) {
+        out.push((format!("{name}_samples"), self.samples.len() as u64));
     }
 }
 
 impl Stats {
-    /// Serializes every deterministic counter, histogram, and recorder
-    /// (see [`crate::snapshot`]). `host_phases` is wall-clock data and is
-    /// deliberately excluded: it is nondeterministic, never part of
-    /// byte-identical outputs, and resets on restore.
-    pub(crate) fn snap_write(&self, w: &mut levi_isa::codec::Writer) {
-        for c in [
-            self.cycles,
-            self.core_instrs,
-            self.engine_instrs,
-            self.dir_lookups,
-            self.invalidations,
-            self.ownership_transfers,
-            self.noc_messages,
-            self.noc_flit_hops,
-            self.dram_accesses,
-            self.mc_cache_hits,
-            self.branches,
-            self.mispredicts,
-            self.fences,
-            self.core_rmws,
-            self.invokes,
-            self.invoke_nacks,
-            self.invoke_migrations,
-            self.ctor_actions,
-            self.dtor_actions,
-            self.stream_pushes,
-            self.stream_pops,
-            self.stream_stall_cycles,
-            self.prefetches,
-            self.faults_injected,
-            self.fault_nack_retries,
-            self.fault_fallbacks,
-            self.fault_degraded_cycles,
-        ] {
-            w.u64(c);
-        }
-        w_level(w, &self.l1);
-        w_level(w, &self.l2);
-        w_level(w, &self.llc);
-        w_level(w, &self.engine_l1);
-        for p in &self.dram_by_phase {
-            w.u64(*p);
-        }
-        w.u64(self.current_phase as u64);
-        self.invoke_rtt.snap_write(w);
-        self.load_to_use.snap_write(w);
-        self.dram_queue.snap_write(w);
-        self.stream_stall.snap_write(w);
-        self.fault_backoff.snap_write(w);
-        self.trace.snap_write(w);
-        self.spans.snap_write(w);
-        self.timeline.snap_write(w);
-        for c in [
-            self.tlb_hits,
-            self.tlb_misses,
-            self.tlb_walk_cycles,
-            self.tenant_quota_nacks,
-        ] {
-            w.u64(c);
-        }
-        self.xlat_walk.snap_write(w);
-        for v in [
-            &self.tenant_llc_misses,
-            &self.tenant_invokes,
-            &self.tenant_finish,
-        ] {
-            w.u32(v.len() as u32);
-            for &c in v.iter() {
-                w.u64(c);
-            }
-        }
+    /// Serializes every table row (see [`crate::snapshot`]). `host_phases`
+    /// is wall-clock data and is deliberately excluded: it is
+    /// nondeterministic, never part of byte-identical outputs, and resets
+    /// on restore.
+    pub(crate) fn snap_write(&self, w: &mut Writer) {
+        self.rows(|_, row| row.write(w));
     }
 
     /// Restores statistics written by [`Stats::snap_write`] into `self`,
     /// leaving `host_phases` untouched.
-    pub(crate) fn snap_read(
-        &mut self,
-        r: &mut levi_isa::codec::Reader,
-    ) -> Result<(), levi_isa::codec::CodecError> {
-        self.cycles = r.u64()?;
-        self.core_instrs = r.u64()?;
-        self.engine_instrs = r.u64()?;
-        self.dir_lookups = r.u64()?;
-        self.invalidations = r.u64()?;
-        self.ownership_transfers = r.u64()?;
-        self.noc_messages = r.u64()?;
-        self.noc_flit_hops = r.u64()?;
-        self.dram_accesses = r.u64()?;
-        self.mc_cache_hits = r.u64()?;
-        self.branches = r.u64()?;
-        self.mispredicts = r.u64()?;
-        self.fences = r.u64()?;
-        self.core_rmws = r.u64()?;
-        self.invokes = r.u64()?;
-        self.invoke_nacks = r.u64()?;
-        self.invoke_migrations = r.u64()?;
-        self.ctor_actions = r.u64()?;
-        self.dtor_actions = r.u64()?;
-        self.stream_pushes = r.u64()?;
-        self.stream_pops = r.u64()?;
-        self.stream_stall_cycles = r.u64()?;
-        self.prefetches = r.u64()?;
-        self.faults_injected = r.u64()?;
-        self.fault_nack_retries = r.u64()?;
-        self.fault_fallbacks = r.u64()?;
-        self.fault_degraded_cycles = r.u64()?;
-        self.l1 = r_level(r)?;
-        self.l2 = r_level(r)?;
-        self.llc = r_level(r)?;
-        self.engine_l1 = r_level(r)?;
-        for p in &mut self.dram_by_phase {
-            *p = r.u64()?;
-        }
-        let phase = r.u64()? as usize;
-        if phase >= MAX_PHASES {
-            return Err(levi_isa::codec::CodecError::Invalid("phase index"));
-        }
-        self.current_phase = phase;
-        self.invoke_rtt = Histogram::snap_read(r)?;
-        self.load_to_use = Histogram::snap_read(r)?;
-        self.dram_queue = Histogram::snap_read(r)?;
-        self.stream_stall = Histogram::snap_read(r)?;
-        self.fault_backoff = Histogram::snap_read(r)?;
-        self.trace = Tracer::snap_read(r)?;
-        self.spans = SpanTable::snap_read(r)?;
-        self.timeline = TimeSeries::snap_read(r)?;
-        self.tlb_hits = r.u64()?;
-        self.tlb_misses = r.u64()?;
-        self.tlb_walk_cycles = r.u64()?;
-        self.tenant_quota_nacks = r.u64()?;
-        self.xlat_walk = Histogram::snap_read(r)?;
-        for v in [
-            &mut self.tenant_llc_misses,
-            &mut self.tenant_invokes,
-            &mut self.tenant_finish,
-        ] {
-            let n = r.count(8)?;
-            v.clear();
-            v.reserve(n);
-            for _ in 0..n {
-                v.push(r.u64()?);
-            }
-        }
-        Ok(())
+    pub(crate) fn snap_read(&mut self, r: &mut Reader) -> Result<(), CodecError> {
+        self.rows_mut(|row| row.read(r))
+    }
+
+    /// Every exported scalar counter as `(name, value)`, in table order
+    /// (see [`crate::Telemetry::counters`]).
+    pub(crate) fn counters(&self) -> Vec<(String, u64)> {
+        let mut out = Vec::new();
+        self.rows(|name, row| row.counters(name, &mut out));
+        out
+    }
+
+    /// Every latency histogram as `(name, histogram)`, in table order.
+    pub(crate) fn histograms(&self) -> Vec<(&'static str, &Histogram)> {
+        let mut out = Vec::new();
+        self.rows(|name, row| out.extend(row.histogram().map(|h| (name, h))));
+        out
     }
 
     /// Serializes the statistics (everything the machine snapshot
     /// covers) into a standalone byte vector, for embedding in run
     /// journals and other external records.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = levi_isa::codec::Writer::new();
+        let mut w = Writer::new();
         self.snap_write(&mut w);
         w.into_bytes()
     }
@@ -762,7 +830,7 @@ impl Stats {
     /// Malformed bytes are rejected with a typed
     /// [`SnapshotError`](crate::snapshot::SnapshotError).
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, crate::snapshot::SnapshotError> {
-        let mut r = levi_isa::codec::Reader::new(bytes);
+        let mut r = Reader::new(bytes);
         let mut s = Stats::new();
         s.snap_read(&mut r)?;
         if !r.is_exhausted() {
@@ -779,21 +847,171 @@ impl Stats {
     /// identical simulated behavior; checkpoint verification compares the
     /// digest of a restored replica against the primary run.
     pub fn digest(&self) -> u64 {
-        let mut w = levi_isa::codec::Writer::new();
-        self.snap_write(&mut w);
-        let bytes = w.into_bytes();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in &bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        crate::snapshot::fnv1a(&self.to_snapshot_bytes())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Every counter, level, TLB counter and tenant vector set to a
+    /// distinct non-zero value, plus two records per histogram and one
+    /// timeline sample.
+    pub(crate) fn filled_stats() -> Stats {
+        let mut s = Stats::new();
+        let scalars: [&mut u64; 31] = [
+            &mut s.cycles,
+            &mut s.core_instrs,
+            &mut s.engine_instrs,
+            &mut s.dir_lookups,
+            &mut s.invalidations,
+            &mut s.ownership_transfers,
+            &mut s.noc_messages,
+            &mut s.noc_flit_hops,
+            &mut s.dram_accesses,
+            &mut s.mc_cache_hits,
+            &mut s.branches,
+            &mut s.mispredicts,
+            &mut s.fences,
+            &mut s.core_rmws,
+            &mut s.invokes,
+            &mut s.invoke_nacks,
+            &mut s.invoke_migrations,
+            &mut s.ctor_actions,
+            &mut s.dtor_actions,
+            &mut s.stream_pushes,
+            &mut s.stream_pops,
+            &mut s.stream_stall_cycles,
+            &mut s.prefetches,
+            &mut s.faults_injected,
+            &mut s.fault_nack_retries,
+            &mut s.fault_fallbacks,
+            &mut s.fault_degraded_cycles,
+            &mut s.tlb_hits,
+            &mut s.tlb_misses,
+            &mut s.tlb_walk_cycles,
+            &mut s.tenant_quota_nacks,
+        ];
+        for (i, c) in scalars.into_iter().enumerate() {
+            *c = 0x1000 + i as u64;
+        }
+        for (i, l) in [&mut s.l1, &mut s.l2, &mut s.llc, &mut s.engine_l1]
+            .into_iter()
+            .enumerate()
+        {
+            let i = i as u64;
+            *l = LevelStats {
+                hits: 0x2000 + 3 * i,
+                misses: 0x2001 + 3 * i,
+                writebacks: 0x2002 + 3 * i,
+            };
+        }
+        for (i, p) in s.dram_by_phase.iter_mut().enumerate() {
+            *p = 0x3000 + i as u64;
+        }
+        s.set_phase(2);
+        s.tenant_llc_misses = vec![0x4000, 0x4001, 0x4002];
+        s.tenant_invokes = vec![0x4100, 0x4101, 0x4102];
+        s.tenant_finish = vec![0x4200, 0x4201, 0x4202];
+        for (i, h) in [
+            &mut s.invoke_rtt,
+            &mut s.load_to_use,
+            &mut s.dram_queue,
+            &mut s.stream_stall,
+            &mut s.fault_backoff,
+            &mut s.xlat_walk,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            h.record(10 + i as u64);
+            h.record(1000 * (i as u64 + 1));
+        }
+        s.trace = Tracer::new(false, 64);
+        s.spans = SpanTable::new(false, 64);
+        s.timeline = TimeSeries::new(100);
+        s.take_sample(100, 3, 5);
+        s
+    }
+
+    #[test]
+    fn filled_stats_keep_the_pinned_snapshot_bytes() {
+        // Length and FNV-1a of the bytes the hand-written encoder produced
+        // before the table existed: the table must keep the format.
+        let s = filled_stats();
+        let bytes = s.to_snapshot_bytes();
+        assert_eq!(bytes.len(), 4038);
+        assert_eq!(crate::snapshot::fnv1a(&bytes), 0x37bf_7e5a_4743_234c);
+        assert_eq!(s.digest(), 0x37bf_7e5a_4743_234c);
+
+        let back = Stats::from_snapshot_bytes(&bytes).expect("round trips");
+        assert!(
+            back.to_snapshot_bytes() == bytes,
+            "restored stats re-encode differently"
+        );
+        assert_eq!(back.phase(), 2);
+        assert_eq!(back.counters(), s.counters());
+    }
+
+    #[test]
+    fn snapshot_rejects_an_out_of_range_phase() {
+        let mut bytes = Stats::new().to_snapshot_bytes();
+        // The phase index follows 27 scalars, 4 levels and 4 phase counters.
+        let at = (27 + 4 * 3 + MAX_PHASES) * 8;
+        bytes[at] = MAX_PHASES as u8;
+        assert_eq!(
+            Stats::from_snapshot_bytes(&bytes).err(),
+            Some(crate::snapshot::SnapshotError::Corrupted("phase index"))
+        );
+    }
+
+    #[test]
+    fn telemetry_counters_name_every_row_exactly_once() {
+        let s = filled_stats();
+        let all = crate::Telemetry::new(&s).counters();
+        let mut names: Vec<&str> = all.iter().map(|(n, _)| n.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), all.len(), "duplicate counter names");
+
+        let mut exported = 0;
+        s.rows(|name, row| {
+            let mut own = Vec::new();
+            row.counters(name, &mut own);
+            assert!(
+                !own.is_empty() || row.histogram().is_some() || name == "current_phase",
+                "row {name} exports nothing"
+            );
+            for c in &own {
+                assert_eq!(all.iter().filter(|a| *a == c).count(), 1, "{c:?}");
+            }
+            exported += own.len();
+        });
+        assert_eq!(exported, all.len());
+
+        // Same names and values as the hand-written list the table
+        // replaced: 61 counters, pinned as FNV-1a over sorted lines.
+        let mut lines: Vec<String> = all.iter().map(|(n, v)| format!("{n}={v}\n")).collect();
+        lines.sort();
+        assert_eq!(lines.len(), 61);
+        assert_eq!(
+            crate::snapshot::fnv1a(lines.concat().as_bytes()),
+            0x68fb_1d7c_046f_4d69
+        );
+        let hists: Vec<&str> = s.histograms().iter().map(|&(n, _)| n).collect();
+        assert_eq!(
+            hists,
+            [
+                "invoke_rtt",
+                "load_to_use",
+                "dram_queue",
+                "stream_stall",
+                "fault_backoff",
+                "xlat_walk"
+            ]
+        );
+    }
 
     #[test]
     fn phase_attribution() {

@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 
 use crate::hist::Histogram;
 use crate::perf::Phase;
-use crate::stats::{Stats, MAX_PHASES, TOP_SLOW_INVOKES};
+use crate::stats::{Stats, TOP_SLOW_INVOKES};
 
 /// Schema version stamped into every JSON-lines dump header.
 pub const TELEMETRY_VERSION: u32 = 1;
@@ -61,120 +61,17 @@ impl<'a> Telemetry<'a> {
         Telemetry { stats }
     }
 
-    /// Every scalar counter in the registry, as `(name, value)` in a
-    /// stable order. This is the single source both exporters render.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        let s = self.stats;
-        let mut v = vec![
-            ("cycles", s.cycles),
-            ("core_instrs", s.core_instrs),
-            ("engine_instrs", s.engine_instrs),
-            ("l1_hits", s.l1.hits),
-            ("l1_misses", s.l1.misses),
-            ("l1_writebacks", s.l1.writebacks),
-            ("l2_hits", s.l2.hits),
-            ("l2_misses", s.l2.misses),
-            ("l2_writebacks", s.l2.writebacks),
-            ("llc_hits", s.llc.hits),
-            ("llc_misses", s.llc.misses),
-            ("llc_writebacks", s.llc.writebacks),
-            ("engine_l1_hits", s.engine_l1.hits),
-            ("engine_l1_misses", s.engine_l1.misses),
-            ("engine_l1_writebacks", s.engine_l1.writebacks),
-            ("dir_lookups", s.dir_lookups),
-            ("invalidations", s.invalidations),
-            ("ownership_transfers", s.ownership_transfers),
-            ("noc_messages", s.noc_messages),
-            ("noc_flit_hops", s.noc_flit_hops),
-            ("dram_accesses", s.dram_accesses),
-            ("mc_cache_hits", s.mc_cache_hits),
-            ("branches", s.branches),
-            ("mispredicts", s.mispredicts),
-            ("fences", s.fences),
-            ("core_rmws", s.core_rmws),
-            ("invokes", s.invokes),
-            ("invoke_nacks", s.invoke_nacks),
-            ("invoke_migrations", s.invoke_migrations),
-            ("ctor_actions", s.ctor_actions),
-            ("dtor_actions", s.dtor_actions),
-            ("stream_pushes", s.stream_pushes),
-            ("stream_pops", s.stream_pops),
-            ("stream_stall_cycles", s.stream_stall_cycles),
-            ("prefetches", s.prefetches),
-            ("faults_injected", s.faults_injected),
-            ("fault_nack_retries", s.fault_nack_retries),
-            ("fault_fallbacks", s.fault_fallbacks),
-            ("fault_degraded_cycles", s.fault_degraded_cycles),
-            ("tlb_hits", s.tlb_hits),
-            ("tlb_misses", s.tlb_misses),
-            ("tlb_walk_cycles", s.tlb_walk_cycles),
-            ("tenant_quota_nacks", s.tenant_quota_nacks),
-            ("trace_events", s.trace.len() as u64),
-            ("trace_dropped", s.trace.dropped()),
-            ("spans_recorded", s.spans.len() as u64),
-            ("spans_dropped", s.spans.dropped()),
-            ("timeline_samples", s.timeline.samples().len() as u64),
-        ];
-        const PHASE_NAMES: [&str; MAX_PHASES] =
-            ["dram_phase0", "dram_phase1", "dram_phase2", "dram_phase3"];
-        for (i, name) in PHASE_NAMES.iter().enumerate() {
-            v.push((name, s.dram_by_phase[i]));
-        }
-        // Per-tenant series appear only when tenancy is configured, so
-        // single-tenant dumps stay byte-identical to pre-tenancy builds.
-        const TENANT_LLC: [&str; 8] = [
-            "tenant0_llc_misses",
-            "tenant1_llc_misses",
-            "tenant2_llc_misses",
-            "tenant3_llc_misses",
-            "tenant4_llc_misses",
-            "tenant5_llc_misses",
-            "tenant6_llc_misses",
-            "tenant7_llc_misses",
-        ];
-        const TENANT_INVOKES: [&str; 8] = [
-            "tenant0_invokes",
-            "tenant1_invokes",
-            "tenant2_invokes",
-            "tenant3_invokes",
-            "tenant4_invokes",
-            "tenant5_invokes",
-            "tenant6_invokes",
-            "tenant7_invokes",
-        ];
-        const TENANT_FINISH: [&str; 8] = [
-            "tenant0_finish_cycles",
-            "tenant1_finish_cycles",
-            "tenant2_finish_cycles",
-            "tenant3_finish_cycles",
-            "tenant4_finish_cycles",
-            "tenant5_finish_cycles",
-            "tenant6_finish_cycles",
-            "tenant7_finish_cycles",
-        ];
-        for (i, &m) in s.tenant_llc_misses.iter().enumerate().take(8) {
-            v.push((TENANT_LLC[i], m));
-        }
-        for (i, &m) in s.tenant_invokes.iter().enumerate().take(8) {
-            v.push((TENANT_INVOKES[i], m));
-        }
-        for (i, &m) in s.tenant_finish.iter().enumerate().take(8) {
-            v.push((TENANT_FINISH[i], m));
-        }
-        v
+    /// Every scalar counter in the registry, as `(name, value)` in the
+    /// order of the [`Stats`] table. This is the single source both
+    /// exporters render.
+    pub fn counters(&self) -> Vec<(String, u64)> {
+        self.stats.counters()
     }
 
-    /// Every latency histogram in the registry, as `(name, histogram)`.
-    pub fn histograms(&self) -> [(&'static str, &'a Histogram); 6] {
-        let s = self.stats;
-        [
-            ("invoke_rtt", &s.invoke_rtt),
-            ("load_to_use", &s.load_to_use),
-            ("dram_queue", &s.dram_queue),
-            ("stream_stall", &s.stream_stall),
-            ("fault_backoff", &s.fault_backoff),
-            ("xlat_walk", &s.xlat_walk),
-        ]
+    /// Every latency histogram in the registry, as `(name, histogram)` in
+    /// the order of the [`Stats`] table.
+    pub fn histograms(&self) -> Vec<(&'static str, &'a Histogram)> {
+        self.stats.histograms()
     }
 
     /// Renders the registry as one self-describing JSON-lines block:

@@ -91,16 +91,6 @@ pub enum TenantPolicy {
     EngineSlotQuota,
 }
 
-impl TenantPolicy {
-    pub(crate) fn as_u8(self) -> u8 {
-        match self {
-            TenantPolicy::Unpartitioned => 0,
-            TenantPolicy::LlcWayPartition => 1,
-            TenantPolicy::EngineSlotQuota => 2,
-        }
-    }
-}
-
 /// Multi-tenant sharing configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TenantConfig {
